@@ -9,9 +9,9 @@
 //        --workers --capacity --coalesce --policy=block|reject|shed
 //        --timeout-ms --backend=NAME (serve registry, docs/BACKENDS.md) --seed
 //        --inflight=K  async requests each client keeps outstanding
-//                      (K >= 2 exercises the pipelined serve path: a worker
-//                      coalescing one session's queued requests issues them
-//                      as overlapped begin/finish passes)
+//                      (K >= 2 queues a session's requests back to back; a
+//                      worker popping several of them merges them into one
+//                      fill of one pass, docs/SERVING.md §4)
 //        --metrics-json=<path>
 //        --bench-json=<path>  flat perf summary (BENCH_serve.json in CI)
 //        --fault-plan=<plan>  deterministic chaos run (docs/FAULTS.md §3),
@@ -1173,10 +1173,10 @@ int main(int argc, char** argv) {
     t.add_row({"latency p99 (ms)", bench::ms(lat_p99)});
     t.add_row({"latency max (ms)", bench::ms(lat_max)});
     t.add_row({"queue wait p99 (ms)", bench::ms(qw_p99)});
-    // Pipelined-fill overlap (hybrid backend, docs/PERFORMANCE.md): the
+    // Pipelined-fill overlap (hybrid backend, docs/PERFORMANCE.md §2): the
     // simulated time fill N+1's FEED/TRANSFER spent running under fill N's
-    // GENERATE kernel, as a fraction of total fill span. Zero unless
-    // same-session passes queued back to back (--inflight >= 2).
+    // GENERATE kernel, as a fraction of total fill span. Serve workers run
+    // one fill at a time per shard, so this reads 0 for service traffic.
     overlap_seconds =
         metrics.counter("hprng.core.serve_overlap_seconds").value();
     fill_span_seconds =

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "serve/options.hpp"
-#include "util/check.hpp"
 
 namespace hprng::fault {
 class Injector;
@@ -76,35 +75,10 @@ class ShardBackend {
   virtual void detach(std::uint64_t slot) = 0;
 
   /// Serve every fill in one batched pass. Each slot appears at most once
-  /// per call — the service splits duplicate-slot batches into passes.
+  /// per call: the service merges a session's requests in one pass into
+  /// one fill, which is exact because a slot's stream depends only on how
+  /// many words it has served, never on how they were split into calls.
   virtual FillResult fill(std::span<const Fill> fills) = 0;
-
-  // -- Pipelined pass protocol (docs/PERFORMANCE.md) ------------------------
-  //
-  // Backends that can overlap successive passes (hybrid: pass N+1's
-  // FEED/TRANSFER against pass N's GENERATE) expose pipeline_depth() > 1;
-  // the service then issues up to that many begin_fill() calls before each
-  // finish_fill(). finish_fill() completes passes in begin order (FIFO) and
-  // returns exactly what fill() would have for that pass. The default
-  // implementations degrade to the synchronous fill(), so every backend
-  // supports the split protocol at depth 1.
-
-  /// Passes the service may keep in flight at once (≥ 1, may change when a
-  /// fault injector is attached — hybrid serialises chaos runs).
-  [[nodiscard]] virtual int pipeline_depth() const { return 1; }
-
-  /// Enqueue one pass without waiting for its result.
-  virtual void begin_fill(std::span<const Fill> fills) {
-    staged_.push_back(fill(fills));
-  }
-
-  /// Complete the oldest in-flight pass and return its result.
-  virtual FillResult finish_fill() {
-    HPRNG_CHECK(!staged_.empty(), "ShardBackend::finish_fill: nothing begun");
-    const FillResult r = staged_.front();
-    staged_.erase(staged_.begin());
-    return r;
-  }
 
   /// Attach (or with nullptr, detach) a fault injector; `target` is this
   /// shard's index. Default no-op — only backends with an instrumented
@@ -151,10 +125,6 @@ class ShardBackend {
 
   /// Held by whoever calls into this shard (see the threading contract).
   std::mutex mu;
-
- protected:
-  /// Results staged by the default (synchronous) begin_fill().
-  std::vector<FillResult> staged_;
 };
 
 /// Build shard `shard_index` of the pool described by `opts`. The shard

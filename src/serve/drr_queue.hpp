@@ -1,7 +1,7 @@
 #pragma once
 
-// Tenant-aware bounded MPMC request queue for hprng::serve — the
-// weighted-fair successor of BoundedQueue (docs/QOS.md §5).
+// Tenant-aware bounded MPMC request queue for hprng::serve — the one
+// queue between admission and the service workers (docs/QOS.md §5).
 //
 // Items land in per-tenant sub-queues (FIFO within a tenant); consumers
 // drain across tenants by deficit round-robin: each scheduler visit
@@ -19,9 +19,10 @@
 // the pop listener is byte-identical for ANY number of workers — the
 // property serve_qos_test pins across 0/1/3/8 workers.
 //
-// The admission surface (capacity, gate, close/wake, requeue_front,
-// eviction sweeps, size listener) matches BoundedQueue so RngService's
-// policies work unchanged.
+// The admission surface: a capacity bound (kFull), a consumer gate that
+// freezes pops but never pushes (RngService::pause), close/wake,
+// head-of-line requeue for retries, eviction sweeps for the shed policy,
+// and listeners invoked under the lock.
 
 #include <atomic>
 #include <chrono>
@@ -32,6 +33,7 @@
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -48,7 +50,8 @@ class DrrQueue {
   /// changes apply to already-queued work). All three are called under
   /// the queue mutex and must not touch the queue re-entrantly.
   /// @param capacity maximum queued items (all tenants) before kFull.
-  /// @param gate optional pause flag, as in BoundedQueue.
+  /// @param gate optional pause flag: while *gate is true, pop_batch()
+  ///        blocks (producers are unaffected); call wake() after clearing.
   /// @param quantum_words base DRR quantum (deficit per visit is
   ///        quantum * weight; must be >= 1).
   DrrQueue(std::size_t capacity, const std::atomic<bool>* gate,
@@ -88,28 +91,37 @@ class DrrQueue {
 
   /// DRR-scheduled batch pop; the scheduling state (ring position,
   /// deficits) persists across calls, so consecutive batches continue
-  /// one global schedule no matter which worker takes them.
+  /// one global schedule no matter which worker takes them. Blocks until
+  /// an item is poppable or the queue is closed; 0 means closed-and-empty
+  /// (after close() the gate is ignored so workers drain). A non-empty
+  /// batch is passed to `on_popped` under the queue mutex, so whatever
+  /// the callback records is ordered exactly as the pops are (the
+  /// service hands out its per-shard serving tickets there).
+  template <typename OnPopped>
   std::size_t pop_batch(std::vector<T>* out, std::size_t max,
-                        std::atomic<int>* in_flight = nullptr) {
+                        OnPopped&& on_popped) {
     std::unique_lock<std::mutex> lk(mu_);
     not_empty_.wait(lk, [&] { return closed_ || (!gated() && total_ > 0); });
     const std::size_t n = std::min(max, total_);
+    const std::size_t first = out->size();
     for (std::size_t i = 0; i < n; ++i) out->push_back(pop_one_locked());
     if (n > 0) {
-      if (in_flight != nullptr) {
-        in_flight->fetch_add(1, std::memory_order_acq_rel);
-      }
+      on_popped(std::span<const T>(out->data() + first, n));
       if (on_size_change_) on_size_change_(total_);
       not_full_.notify_all();
     }
     return n;
   }
 
+  std::size_t pop_batch(std::vector<T>* out, std::size_t max) {
+    return pop_batch(out, max, [](std::span<const T>) {});
+  }
+
   /// Head-of-line requeue for the retry/failover path: the item returns
   /// to the FRONT of its tenant's sub-queue and the tenant moves to the
   /// ring front, so an already-admitted, already-scheduled request is
-  /// the next thing any worker sees. Ignores capacity and closed, as in
-  /// BoundedQueue (the item passed admission once).
+  /// the next thing any worker sees. Ignores capacity and closed (the
+  /// item passed admission once).
   void requeue_front(T item) {
     std::lock_guard<std::mutex> lk(mu_);
     const std::uint64_t tenant = tenant_of_(item);
@@ -126,7 +138,7 @@ class DrrQueue {
   }
 
   /// Evict the single queued item with the smallest key strictly below
-  /// `limit` — the cross-tenant shed sweep (BoundedQueue semantics).
+  /// `limit` — the cross-tenant shed sweep.
   template <typename KeyFn>
   std::optional<T> evict_min_below(KeyFn key, int limit) {
     std::lock_guard<std::mutex> lk(mu_);
@@ -182,7 +194,7 @@ class DrrQueue {
     return evicted;
   }
 
-  /// As BoundedQueue: invoked with the new total size under the lock.
+  /// Invoked with the new total size under the lock.
   void set_size_listener(std::function<void(std::size_t)> fn) {
     std::lock_guard<std::mutex> lk(mu_);
     on_size_change_ = std::move(fn);

@@ -156,6 +156,8 @@ RngService::RngService(ServiceOptions opts, obs::MetricsRegistry* metrics)
 
   health_ = std::make_unique<ShardHealth[]>(
       static_cast<std::size_t>(opts_.num_shards));
+  turns_ = std::make_unique<ShardTurn[]>(
+      static_cast<std::size_t>(opts_.num_shards));
   if (opts_.injector != nullptr && metrics_ != nullptr) {
     opts_.injector->set_metrics(metrics_);
   }
@@ -467,12 +469,32 @@ void RngService::settle(const RequestPtr& req, Status status) {
 
 void RngService::worker_loop() {
   std::vector<RequestPtr> batch;
+  std::vector<ShardGroup> groups(shards_.size());
+  std::vector<std::uint64_t> scratch;  ///< merged fills, reused per pass
   while (true) {
     batch.clear();
-    const std::size_t n = queue_.pop_batch(&batch, opts_.max_coalesce,
-                                           &serving_);
+    const std::size_t n = queue_.pop_batch(
+        &batch, opts_.max_coalesce, [&](std::span<const RequestPtr> popped) {
+          // Under the queue lock, in pop order: count the batch in flight
+          // (the drain() fence) and take one serving ticket on every shard
+          // it touches, so groups on a shard are served in pop order.
+          serving_.fetch_add(1, std::memory_order_acq_rel);
+          for (const RequestPtr& req : popped) {
+            std::size_t shard = 0;
+            {
+              std::lock_guard<std::mutex> lk(req->session->mu);
+              shard = static_cast<std::size_t>(req->session->lease.shard);
+            }
+            ShardGroup& group = groups[shard];
+            if (!group.ticketed) {
+              group.ticketed = true;
+              group.ticket = turns_[shard].next_ticket++;
+            }
+            group.reqs.push_back(req);
+          }
+        });
     if (n == 0) break;  // closed and drained
-    serve_batch(batch);
+    serve_batch(groups, scratch);
     batch.clear();  // drop session refs outside all shard locks
     serving_.fetch_sub(1, std::memory_order_acq_rel);
     {
@@ -482,7 +504,8 @@ void RngService::worker_loop() {
   }
 }
 
-void RngService::serve_batch(std::vector<RequestPtr>& batch) {
+void RngService::serve_batch(std::vector<ShardGroup>& groups,
+                             std::vector<std::uint64_t>& scratch) {
   if (opts_.injector != nullptr) {
     // kWorker: a slow worker. Wall-clock perturbation only — a "failed"
     // worker is indistinguishable from a slow one, so kFail is ignored.
@@ -496,10 +519,8 @@ void RngService::serve_batch(std::vector<RequestPtr>& batch) {
   // worker) cannot expire requests mid-iteration.
   const auto now = std::chrono::steady_clock::now();
 
-  // Claim what is still live and group it by the owning session's CURRENT
-  // shard (the lease is mutable under failover — read under its lock).
-  std::vector<std::vector<RequestPtr>> by_shard(shards_.size());
-  for (RequestPtr& req : batch) {
+  // Claim what is still live, keeping pop order within each group.
+  const auto unclaimable = [&](const RequestPtr& req) {
     int expected = detail::Request::kPending;
     if (now >= req->deadline) {
       // Expired in the queue: shed it (unless the waiter got there first).
@@ -508,40 +529,61 @@ void RngService::serve_batch(std::vector<RequestPtr>& batch) {
                                              std::memory_order_acq_rel)) {
         settle(req, Status::kShed);
       }
-      continue;
+      return true;
     }
-    if (!req->phase.compare_exchange_strong(expected,
-                                            detail::Request::kClaimed,
-                                            std::memory_order_acq_rel)) {
-      continue;  // abandoned by its waiter — the span is off limits
-    }
-    int shard = 0;
-    {
-      std::lock_guard<std::mutex> lk(req->session->mu);
-      shard = req->session->lease.shard;
-    }
-    by_shard[static_cast<std::size_t>(shard)].push_back(req);
-  }
+    // A request its waiter abandoned is off limits: its span may be gone.
+    return !req->phase.compare_exchange_strong(
+        expected, detail::Request::kClaimed, std::memory_order_acq_rel);
+  };
+  for (ShardGroup& group : groups) std::erase_if(group.reqs, unclaimable);
 
-  for (std::size_t s = 0; s < by_shard.size(); ++s) {
-    serve_shard_group(s, by_shard[s]);
+  // Serve a group whose turn has come first, so the worker does not wait
+  // on one shard while another of its groups could run; with none due,
+  // wait on the lowest pending shard.
+  for (;;) {
+    std::size_t next = groups.size();
+    for (std::size_t s = 0; s < groups.size(); ++s) {
+      if (!groups[s].ticketed) continue;
+      if (next == groups.size()) next = s;
+      if (turns_[s].serving.load(std::memory_order_acquire) ==
+          groups[s].ticket) {
+        next = s;
+        break;
+      }
+    }
+    if (next == groups.size()) return;
+    serve_shard_group(next, groups[next], scratch);
+    groups[next].ticketed = false;
+    groups[next].reqs.clear();
   }
 }
 
-void RngService::serve_shard_group(std::size_t s,
-                                   std::vector<RequestPtr>& group) {
-  if (group.empty()) return;
+void RngService::serve_shard_group(std::size_t s, ShardGroup& group,
+                                   std::vector<std::uint64_t>& scratch) {
+  ShardBackend& shard = *shards_[s];
+  ShardTurn& turn = turns_[s];
+  {
+    // Every earlier ticket belongs to an earlier pop, so this wait always
+    // ends: the oldest unfinished batch is never waiting on anyone.
+    std::unique_lock<std::mutex> lk(shard.mu);
+    turn.cv.wait(lk, [&] {
+      return turn.serving.load(std::memory_order_acquire) == group.ticket;
+    });
+  }
 
-  // A backend fill takes each slot at most once, so a session with two
-  // requests in the batch needs them in separate passes (served in
-  // order, preserving its stream sequence).
-  struct Pass {
-    std::vector<ShardBackend::Fill> fills;
-    std::vector<RequestPtr> reqs;
+  // One fill per slot. A session's requests merge into one span in pop
+  // order: a stream depends only on how many words it has served
+  // (ShardBackend::fill), so this is the same as serving them one by one.
+  struct Merge {
+    std::size_t requests = 0;
+    std::size_t words = 0;
   };
-  std::vector<Pass> passes;
+  std::vector<ShardBackend::Fill> fills;
+  std::vector<Merge> merges;         ///< what each fill merges
+  std::vector<std::size_t> fill_of;  ///< fill index per served request
+  std::vector<RequestPtr> served;
   std::vector<RequestPtr> displaced;  ///< claimed but not served here
-  for (RequestPtr& req : group) {
+  for (RequestPtr& req : group.reqs) {
     std::uint64_t slot = 0;
     bool moved = false;
     {
@@ -550,141 +592,102 @@ void RngService::serve_shard_group(std::size_t s,
       slot = req->session->lease.slot;
     }
     if (moved) {
-      // The lease failed over between claim and serve: let the request
+      // The lease failed over between pop and serve: let the request
       // re-route through the queue to its session's new shard.
       displaced.push_back(req);
       continue;
     }
-    Pass* target = nullptr;
-    for (Pass& pass : passes) {
-      bool duplicate = false;
-      for (const ShardBackend::Fill& f : pass.fills) {
-        if (f.slot == slot) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (!duplicate) {
-        target = &pass;
-        break;
-      }
+    std::size_t j = 0;
+    while (j < fills.size() && fills[j].slot != slot) ++j;
+    if (j == fills.size()) {
+      fills.push_back({slot, req->out});
+      merges.emplace_back();
     }
-    if (target == nullptr) {
-      passes.emplace_back();
-      target = &passes.back();
-    }
-    target->fills.push_back({slot, req->out});
-    target->reqs.push_back(req);
+    ++merges[j].requests;
+    merges[j].words += req->out.size();
+    fill_of.push_back(j);
+    served.push_back(req);
   }
 
-  {
-    ShardBackend& shard = *shards_[s];
-    std::unique_lock<std::mutex> lk(shard.mu);
+  if (!fills.empty()) {
+    // Merged fills go back to back into the worker's scratch; a fill of
+    // one request writes straight into that request's buffer.
+    std::size_t merged = 0;
+    for (const Merge& m : merges) {
+      if (m.requests > 1) merged += m.words;
+    }
+    scratch.resize(merged);
+    std::uint64_t* next = scratch.data();
+    for (std::size_t j = 0; j < fills.size(); ++j) {
+      if (merges[j].requests < 2) continue;
+      fills[j].out = std::span<std::uint64_t>(next, merges[j].words);
+      next += merges[j].words;
+    }
 
-    // Per-pass success accounting, identical on both serve paths below.
-    const auto account_success =
-        [&](Pass& pass, const ShardBackend::FillResult& result,
-            std::chrono::steady_clock::time_point wall_start,
-            std::chrono::steady_clock::time_point wall_end) {
-          health_[s].consecutive_failures.store(0, std::memory_order_release);
-          batches_.fetch_add(1, std::memory_order_relaxed);
-          std::uint64_t words = 0;
-          for (const ShardBackend::Fill& f : pass.fills) {
-            words += f.out.size();
-          }
-          numbers_served_.fetch_add(words, std::memory_order_relaxed);
-          if (ins_.batches != nullptr) {
-            ins_.batches->add();
-            ins_.numbers_served->add(static_cast<double>(words));
-            ins_.batch_requests->observe(
-                static_cast<double>(pass.fills.size()));
-            ins_.fill_sim_seconds->observe(result.sim_seconds);
-            ins_.fill_wall_seconds->observe(seconds(wall_end - wall_start));
-          }
-          for (RequestPtr& req : pass.reqs) {
-            if (ins_.queue_wait_seconds != nullptr) {
-              ins_.queue_wait_seconds->observe(
-                  seconds(wall_start - req->submit_time));
-            }
-            settle(req, Status::kOk);
-          }
-        };
-
-    // With no injector a fill can neither fail nor need retry, so a
-    // multi-pass group runs software-pipelined: up to pipeline_depth()
-    // passes in flight, pass N+1's begin (FEED + H2D transfer) overlapping
-    // pass N's GENERATE kernel. Chaos runs (injector attached) keep the
-    // serial retry loop — fault attribution and transactional rollback
-    // need one pass in flight at a time.
-    const int depth = opts_.injector == nullptr ? shard.pipeline_depth() : 1;
-    if (depth > 1 && passes.size() > 1) {
-      std::vector<std::chrono::steady_clock::time_point> begun_at(
-          passes.size());
-      std::size_t begun = 0;
-      for (std::size_t done = 0; done < passes.size(); ++done) {
-        while (begun < passes.size() &&
-               begun - done < static_cast<std::size_t>(depth)) {
-          begun_at[begun] = std::chrono::steady_clock::now();
-          shard.begin_fill(passes[begun].fills);
-          ++begun;
+    const auto wall_start = std::chrono::steady_clock::now();
+    ShardBackend::FillResult result;
+    {
+      std::lock_guard<std::mutex> lk(shard.mu);
+      for (int attempt = 0;; ++attempt) {
+        bool dispatch_drop = false;
+        if (opts_.injector != nullptr) {
+          // kShardFill: the dispatch itself fails or stalls. Consulted
+          // under the shard lock, so ordinals are per-shard deterministic.
+          const fault::Outcome o = opts_.injector->on_event(
+              fault::Site::kShardFill, static_cast<int>(s));
+          sleep_seconds(o.delay_seconds);
+          dispatch_drop = o.fail();
         }
-        const ShardBackend::FillResult result = shard.finish_fill();
-        HPRNG_CHECK(result.ok,
-                    "serve_shard_group: pipelined fill failed with no "
-                    "injector attached");
-        account_success(passes[done], result, begun_at[done],
-                        std::chrono::steady_clock::now());
-      }
-    } else {
-      bool abandon_rest = false;
-      for (Pass& pass : passes) {
-        if (abandon_rest) {
-          // A session whose earlier pass failed may have later requests in
-          // this tail: serving them now would reorder its stream, so the
-          // whole tail is displaced (requeued in order below).
-          displaced.insert(displaced.end(), pass.reqs.begin(),
-                           pass.reqs.end());
-          continue;
-        }
-
-        const auto wall_start = std::chrono::steady_clock::now();
-        ShardBackend::FillResult result;
-        for (int attempt = 0;; ++attempt) {
-          bool dispatch_drop = false;
-          if (opts_.injector != nullptr) {
-            // kShardFill: the dispatch itself fails or stalls. Consulted
-            // under the shard lock, so ordinals are per-shard deterministic.
-            const fault::Outcome o = opts_.injector->on_event(
-                fault::Site::kShardFill, static_cast<int>(s));
-            sleep_seconds(o.delay_seconds);
-            dispatch_drop = o.fail();
-          }
-          result = dispatch_drop ? ShardBackend::FillResult{false, 0.0}
-                                 : shard.fill(pass.fills);
-          if (result.ok || attempt >= opts_.max_fill_retries) break;
-          retries_.fetch_add(1, std::memory_order_relaxed);
-          if (ins_.retry_attempts != nullptr) ins_.retry_attempts->add();
-          backoff(attempt);
-        }
-        const auto wall_end = std::chrono::steady_clock::now();
-
-        if (!result.ok) {
-          record_shard_failure(s);
-          abandon_rest = true;
-          displaced.insert(displaced.end(), pass.reqs.begin(),
-                           pass.reqs.end());
-          continue;
-        }
-        account_success(pass, result, wall_start, wall_end);
+        result = dispatch_drop ? ShardBackend::FillResult{false, 0.0}
+                               : shard.fill(fills);
+        if (result.ok || attempt >= opts_.max_fill_retries) break;
+        retries_.fetch_add(1, std::memory_order_relaxed);
+        if (ins_.retry_attempts != nullptr) ins_.retry_attempts->add();
+        backoff(attempt);
       }
     }
-  }  // shard lock released before touching session/lease state
+    const auto wall_end = std::chrono::steady_clock::now();
 
-  if (displaced.empty()) return;
-  // Re-route the displaced tail: move sessions off an ejected shard, then
-  // hand the requests back to the queue head. Requeueing in reverse keeps
-  // their original relative order, which keeps multi-request sessions'
-  // streams sequential.
+    if (result.ok) {
+      for (std::size_t j = 0; j < fills.size(); ++j) {
+        if (merges[j].requests < 2) continue;
+        std::span<const std::uint64_t> from = fills[j].out;
+        for (std::size_t i = 0; i < served.size(); ++i) {
+          if (fill_of[i] != j) continue;
+          std::copy_n(from.begin(), served[i]->out.size(),
+                      served[i]->out.begin());
+          from = from.subspan(served[i]->out.size());
+        }
+      }
+      health_[s].consecutive_failures.store(0, std::memory_order_release);
+      batches_.fetch_add(1, std::memory_order_relaxed);
+      std::uint64_t words = 0;
+      for (const ShardBackend::Fill& f : fills) words += f.out.size();
+      numbers_served_.fetch_add(words, std::memory_order_relaxed);
+      if (ins_.batches != nullptr) {
+        ins_.batches->add();
+        ins_.numbers_served->add(static_cast<double>(words));
+        ins_.batch_requests->observe(static_cast<double>(served.size()));
+        ins_.fill_sim_seconds->observe(result.sim_seconds);
+        ins_.fill_wall_seconds->observe(seconds(wall_end - wall_start));
+      }
+      for (RequestPtr& req : served) {
+        if (ins_.queue_wait_seconds != nullptr) {
+          ins_.queue_wait_seconds->observe(
+              seconds(wall_start - req->submit_time));
+        }
+        settle(req, Status::kOk);
+      }
+    } else {
+      record_shard_failure(s);
+      displaced = group.reqs;  // the whole group, in pop order
+    }
+  }
+
+  // Re-route the displaced requests before passing the turn on, so a later
+  // group on this shard already sees any lease that moved: move sessions
+  // off an ejected shard, then hand the requests back to the queue head.
+  // Requeueing in reverse keeps their original relative order.
   std::vector<RequestPtr> requeue;
   requeue.reserve(displaced.size());
   for (RequestPtr& req : displaced) {
@@ -702,6 +705,12 @@ void RngService::serve_shard_group(std::size_t s,
   for (auto it = requeue.rbegin(); it != requeue.rend(); ++it) {
     queue_.requeue_front(std::move(*it));
   }
+
+  {
+    std::lock_guard<std::mutex> lk(shard.mu);
+    turn.serving.fetch_add(1, std::memory_order_acq_rel);
+  }
+  turn.cv.notify_all();
 }
 
 void RngService::record_shard_failure(std::size_t s) {
@@ -945,10 +954,10 @@ bool RngService::checkpoint(const std::string& path, std::string* error) {
     hook = hook_;
   }
   if (hook.prepare) hook.prepare();
-  // Quiesce: pause() returns only once every in-flight batched pass has
-  // finished, and every begin/finish pair completes within a pass under
-  // the shard mutex — so this IS the pass boundary: no in-flight fills,
-  // no pending feed words, committed cursors everywhere.
+  // Quiesce: pause() returns only once every popped batch has finished,
+  // and every pass runs start to finish under its shard mutex — so this
+  // IS the pass boundary: no in-flight fills, no pending feed words,
+  // committed cursors everywhere.
   pause();
   state::SnapshotWriter w;
 

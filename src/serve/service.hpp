@@ -11,7 +11,10 @@
 // the hybrid backend that is a single FEED/TRANSFER/GENERATE pipeline
 // pass (HybridPrng::fill_leased), which is the whole point: many small
 // client requests amortise one device round, exactly like the paper's
-// batched generation amortises kernel launches.
+// batched generation amortises kernel launches. A session's requests in
+// one group merge into one fill, and the groups on a shard are served in
+// pop order whichever worker holds them, so a lease's words come back in
+// request order (the per-lease order invariant, docs/SERVING.md §4).
 //
 // Every request reaches exactly one terminal Status. The request state is
 // heap-shared between the waiting client and the serving worker, with an
@@ -87,7 +90,8 @@ struct Request {
 /// Shared session state: releasing the last reference returns the lease
 /// (slot + backend stream) to the pool. The lease is mutable — failover
 /// moves it to a surviving shard when its home shard is ejected — so every
-/// read goes through `mu` (lock order: session mu before any shard mu).
+/// read goes through `mu` (lock order: queue lock, then session mu, then
+/// any shard mu).
 struct SessionState {
   RngService* service = nullptr;
   std::mutex mu;
@@ -419,12 +423,34 @@ class RngService {
   /// Publish the terminal status (exactly once) and count it.
   void settle(const RequestPtr& req, Status status);
   void release_lease(const Lease& lease);
+  /// Serving order on one shard: a popped batch takes a ticket on each
+  /// shard it touches, under the queue lock, and serves its group there
+  /// only when `serving` reaches that ticket — pop order, whichever
+  /// worker holds the batch.
+  struct ShardTurn {
+    std::uint64_t next_ticket = 0;  ///< guarded by the queue lock
+    /// Advanced under the shard's mu; read lock-free to pick a due group.
+    std::atomic<std::uint64_t> serving{0};
+    std::condition_variable cv;  ///< waits on the shard's mu
+  };
+
+  /// One popped batch's requests on one shard, in pop order.
+  struct ShardGroup {
+    bool ticketed = false;  ///< the batch holds `ticket` on this shard
+    std::uint64_t ticket = 0;
+    std::vector<RequestPtr> reqs;
+  };
+
   void worker_loop();
-  void serve_batch(std::vector<RequestPtr>& batch);
-  /// Serve one shard's claimed requests: split into unique-slot passes,
-  /// fill each with bounded retry + backoff, and on a persistent failure
-  /// displace the unserved tail (failover / requeue / kFailed).
-  void serve_shard_group(std::size_t s, std::vector<RequestPtr>& group);
+  /// Claim a popped batch's live requests, then serve its shard groups.
+  void serve_batch(std::vector<ShardGroup>& groups,
+                   std::vector<std::uint64_t>& scratch);
+  /// On its turn, serve one shard group as ONE backend pass (a session's
+  /// requests merged into one fill, via `scratch`) with bounded retry +
+  /// backoff; on a persistent failure displace the whole group
+  /// (failover / requeue / kFailed). Always passes the turn on.
+  void serve_shard_group(std::size_t s, ShardGroup& group,
+                         std::vector<std::uint64_t>& scratch);
   /// Mark one failed pass on shard `s` (ejecting it at the threshold).
   void record_shard_failure(std::size_t s);
   void eject_shard(std::size_t s);
@@ -446,6 +472,7 @@ class RngService {
   LeaseManager leases_;
   std::vector<std::unique_ptr<ShardBackend>> shards_;
   std::unique_ptr<ShardHealth[]> health_;  ///< one per shard
+  std::unique_ptr<ShardTurn[]> turns_;     ///< one per shard
   std::atomic<int> ejected_count_{0};
   prng::SeedSequence backoff_seq_;  ///< jitter stream (const derive)
   std::atomic<std::uint64_t> backoff_idx_{0};

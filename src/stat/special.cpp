@@ -1,5 +1,7 @@
 #include "stat/special.hpp"
 
+#include <math.h>
+
 #include <cmath>
 
 #include "util/check.hpp"
@@ -45,7 +47,12 @@ double gamma_q_cf(double a, double x) {
 
 }  // namespace
 
-double ln_gamma(double x) { return std::lgamma(x); }
+double ln_gamma(double x) {
+  // lgamma_r, not std::lgamma: glibc's lgamma writes the global `signgam`,
+  // a data race when scrubber streams run chi-square tests in parallel.
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
 
 double gamma_p(double a, double x) {
   HPRNG_CHECK(a > 0.0 && x >= 0.0, "gamma_p domain: a > 0, x >= 0");

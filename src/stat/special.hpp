@@ -6,7 +6,7 @@ namespace hprng::stat {
 /// standard numerical recipes (series / continued fractions); accuracy is
 /// verified against reference values in tests/stat_special_test.cpp.
 
-/// Natural log of the Gamma function (Lanczos; wraps std::lgamma).
+/// Natural log of the Gamma function (wraps the reentrant lgamma_r).
 double ln_gamma(double x);
 
 /// Regularised lower incomplete gamma P(a, x) = gamma(a,x)/Gamma(a).

@@ -60,8 +60,10 @@ void ThreadPool::parallel_for(std::uint64_t begin, std::uint64_t end,
     remaining.fetch_add(1, std::memory_order_relaxed);
     submit([&, lo, hi] {
       for (std::uint64_t i = lo; i < hi; ++i) fn(i);
+      // Decrement under the caller's mutex: the caller cannot see 0, return
+      // and destroy done_mu/done_cv until this worker has let go of them.
+      std::lock_guard<std::mutex> lk(done_mu);
       if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lk(done_mu);
         done_cv.notify_one();
       }
     });

@@ -377,7 +377,7 @@ TEST(DocsLint, DocumentedCliFlagsExistInSources) {
   // Flags that belong to external tools (cmake/ctest invocations quoted
   // in build instructions), not to any binary in this repo.
   const std::set<std::string> external = {"build", "test-dir",
-                                          "output-on-failure"};
+                                          "output-on-failure", "repeat"};
 
   std::set<std::string> documented;
   for (const fs::path& file : markdown_files()) {

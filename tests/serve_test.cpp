@@ -2,16 +2,19 @@
 // (the acceptance property: no two concurrently leased streams overlap),
 // admission-policy semantics (reject never blocks, block times out at the
 // deadline, shed evicts expired requests), queue-depth accounting at
-// fences, request coalescing, and the lease grant/release protocol under
-// thread hammering (the TSan target).
+// fences, request coalescing, per-lease request order across workers,
+// and the lease grant/release protocol under thread hammering (the TSan
+// target).
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,8 +24,8 @@
 #include "obs/metrics.hpp"
 #include "prng/registry.hpp"
 #include "prng/seed_seq.hpp"
+#include "serve/drr_queue.hpp"
 #include "serve/lease.hpp"
-#include "serve/queue.hpp"
 #include "serve/service.hpp"
 
 namespace hprng {
@@ -428,16 +431,125 @@ TEST(ServeCoalescing, SameSessionRequestsAreServedInOrder) {
   ASSERT_EQ(t1.wait(), serve::Status::kOk);
   ASSERT_EQ(t2.wait(), serve::Status::kOk);
 
-  // Both were in one popped batch but must land in separate passes (a slot
-  // appears at most once per pass) in submission order: the replayed
+  // Both were in one popped batch, so they merge into one fill of their
+  // summed length, written back in submission order: the replayed
   // standalone stream must match first ++ second.
   core::CpuWalkPrng replay(session.lease().seed,
                            core::CpuWalkConfig{
                                .walk_len = service.options().walk_len});
   for (std::uint64_t v : first) EXPECT_EQ(v, replay.next_u64());
   for (std::uint64_t v : second) EXPECT_EQ(v, replay.next_u64());
-  EXPECT_EQ(service.stats().batches, 2u);
+  EXPECT_EQ(service.stats().batches, 1u);
 }
+
+// ------------------------------------------------------ per-lease order
+
+/// The per-lease order invariant (docs/SERVING.md §4), on every backend
+/// family with 3 workers. Four leases, two on each of shards 0 and 1, each
+/// submit kSizes.size() odd-sized requests round-robin while the service
+/// is paused; on resume, batches of `max_coalesce` requests are popped and
+/// served concurrently. Each (batch, shard) group must take exactly one
+/// backend pass, and each lease's words, in request order, must equal one
+/// standalone fill of their summed length from a fresh service of the
+/// same config.
+class ServeLeaseOrder : public ::testing::TestWithParam<const char*> {
+ protected:
+  static constexpr std::array<std::size_t, 8> kSizes{3, 17, 1, 33,
+                                                     5, 65, 7, 129};
+  static constexpr std::array<std::uint64_t, 4> kShardKeys{0, 1, 4, 5};
+
+  /// Serve the round-robin trace; returns each lease's concatenated words.
+  static std::vector<std::vector<std::uint64_t>> serve_trace(
+      serve::RngService& service) {
+    std::vector<serve::Session> sessions;
+    for (const std::uint64_t key : kShardKeys) {
+      auto session = service.try_open_session(key);
+      EXPECT_TRUE(session.has_value());
+      if (!session.has_value()) return {};
+      sessions.push_back(*session);
+    }
+    std::vector<std::vector<std::vector<std::uint64_t>>> bufs(
+        sessions.size());
+    for (auto& lease_bufs : bufs) {
+      for (const std::size_t n : kSizes) lease_bufs.emplace_back(n);
+    }
+    service.pause();
+    std::vector<serve::Ticket> tickets;
+    for (std::size_t r = 0; r < kSizes.size(); ++r) {
+      for (std::size_t l = 0; l < sessions.size(); ++l) {
+        tickets.push_back(sessions[l].fill_async(bufs[l][r], 10s));
+      }
+    }
+    service.resume();
+    for (serve::Ticket& t : tickets) EXPECT_EQ(t.wait(), serve::Status::kOk);
+    std::vector<std::vector<std::uint64_t>> streams(sessions.size());
+    for (std::size_t l = 0; l < sessions.size(); ++l) {
+      for (const auto& buf : bufs[l]) {
+        streams[l].insert(streams[l].end(), buf.begin(), buf.end());
+      }
+    }
+    return streams;
+  }
+
+  static void expect_standalone(const serve::ServiceOptions& opts,
+                                const std::vector<std::vector<std::uint64_t>>&
+                                    streams) {
+    // Open the same leases in the same order first: a hybrid walk's start
+    // vertex is drawn from the shard feed when its slot is attached.
+    serve::RngService reference(opts);
+    ASSERT_EQ(streams.size(), kShardKeys.size());
+    std::vector<serve::Session> sessions;
+    for (const std::uint64_t key : kShardKeys) {
+      auto session = reference.try_open_session(key);
+      ASSERT_TRUE(session.has_value());
+      sessions.push_back(*session);
+    }
+    for (std::size_t l = 0; l < sessions.size(); ++l) {
+      std::vector<std::uint64_t> whole(streams[l].size());
+      ASSERT_EQ(sessions[l].fill(whole), serve::Status::kOk);
+      EXPECT_EQ(streams[l], whole) << "lease " << l << " out of order";
+    }
+  }
+
+  static serve::ServiceOptions options(std::size_t max_coalesce) {
+    auto opts = small_options(GetParam());
+    opts.num_workers = 3;
+    opts.max_coalesce = max_coalesce;
+    return opts;
+  }
+};
+
+TEST_P(ServeLeaseOrder, OneBatchIsOnePassPerShard) {
+  // Every request in one batch: one group per shard, so two passes, each
+  // merging two leases' 8 requests into one fill per lease.
+  const auto opts = options(kSizes.size() * kShardKeys.size());
+  serve::RngService service(opts);
+  const auto streams = serve_trace(service);
+  EXPECT_EQ(service.stats().batches, 2u);
+  EXPECT_EQ(service.stats().completed, kSizes.size() * kShardKeys.size());
+  expect_standalone(opts, streams);
+}
+
+TEST_P(ServeLeaseOrder, ConcurrentBatchesKeepPopOrderPerShard) {
+  // One round per batch (4 requests on 2 shards), 8 batches served by 3
+  // workers at once: 2 passes per batch, and each lease's later requests
+  // sit in later batches, so its stream is intact only if every shard
+  // serves its groups in pop order.
+  const auto opts = options(kShardKeys.size());
+  serve::RngService service(opts);
+  const auto streams = serve_trace(service);
+  EXPECT_EQ(service.stats().batches, 2u * kSizes.size());
+  expect_standalone(opts, streams);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, ServeLeaseOrder,
+                         ::testing::Values("hybrid", "cpu-walk", "philox",
+                                           "mt19937"),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           std::erase(name, '-');
+                           return name;
+                         });
 
 // ----------------------------------------------------- lease lifecycle
 
@@ -528,9 +640,12 @@ TEST(ServeOptions, PolicyNamesRoundTrip) {
 
 TEST(ServeQueue, GateFreezesConsumersNotProducers) {
   std::atomic<bool> gate{false};
-  serve::BoundedQueue<int> queue(4, &gate);
+  serve::DrrQueue<int> queue(
+      4, &gate, [](const int&) { return std::uint64_t{0}; },
+      [](const int&) { return std::uint64_t{1}; }, nullptr,
+      /*quantum_words=*/1);
   gate.store(true);
-  EXPECT_EQ(queue.try_push(1), serve::BoundedQueue<int>::PushResult::kOk);
+  EXPECT_EQ(queue.try_push(1), serve::DrrQueue<int>::PushResult::kOk);
   EXPECT_EQ(queue.size(), 1u);  // producer unaffected by the gate
 
   std::vector<int> out;

@@ -71,6 +71,21 @@ TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   }
 }
 
+TEST(ThreadPool, ParallelForCallerMayReturnAtOnce) {
+  // parallel_for's completion mutex and condition variable live on the
+  // caller's stack. Many tiny calls in a row make the caller return (and
+  // reuse that stack) the moment the count reaches zero; the last worker
+  // must be done with them by then (TSan and glibc's mutex checks catch
+  // it otherwise).
+  ThreadPool pool(3);
+  std::atomic<std::uint64_t> sum{0};
+  constexpr int kCalls = 200000;
+  for (int c = 0; c < kCalls; ++c) {
+    pool.parallel_for(0, 3, [&](std::uint64_t i) { sum.fetch_add(i + 1); });
+  }
+  EXPECT_EQ(sum.load(), 6u * kCalls);
+}
+
 TEST(ThreadPool, ParallelForEmptyRange) {
   ThreadPool pool(2);
   bool called = false;
