@@ -215,10 +215,13 @@ ReduceStats HybridListRanker::reduce_impl(const LinkedList& list,
          w = red.w.device_span(), rec_p = red.rec_parent.data(),
          rec_w = red.rec_wparent.data()](std::uint64_t tid) {
           const std::uint32_t u = active_span[static_cast<std::size_t>(tid)];
+          // Test b(u) before reading u's links: a splice may be rewriting
+          // the links of a 0-node, never those of a 1-node.
+          if (bits[u] != 1u) return;
           const std::uint32_t p = pred[u];
           const std::uint32_t s = succ[u];
           if (p == kNil || s == kNil) return;
-          if (bits[u] != 1u || bits[p] != 0u || bits[s] != 0u) return;
+          if (bits[p] != 0u || bits[s] != 0u) return;
           rec_p[u] = p;
           rec_w[u] = w[p];
           w[p] += w[u];

@@ -519,6 +519,7 @@ void NetServer::handle_frame(const std::shared_ptr<Conn>& c,
           timeout_ms == 0 ? std::chrono::nanoseconds{}
                           : std::chrono::milliseconds(timeout_ms);
       PendingFill pending;
+      pending.accepted = std::chrono::steady_clock::now();
       pending.conn_id = c->id;
       pending.request_id = frame.request_id;
       pending.lease_id = lease_id;
@@ -738,11 +739,10 @@ void NetServer::completer_loop() {
       job = std::move(completer_queue_.front());
       completer_queue_.pop_front();
     }
-    const auto start = std::chrono::steady_clock::now();
     const serve::Status status = job.ticket.wait();
     const double seconds =
         std::chrono::duration_cast<std::chrono::duration<double>>(
-            std::chrono::steady_clock::now() - start)
+            std::chrono::steady_clock::now() - job.accepted)
             .count();
     std::lock_guard<std::mutex> lk(mu_);
     if (status == serve::Status::kOk) {

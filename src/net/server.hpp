@@ -30,6 +30,7 @@
 // chaos suite replays deterministically.
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -155,6 +156,9 @@ class NetServer {
     std::uint64_t lease_id = 0;
     serve::Ticket ticket;
     std::shared_ptr<std::vector<std::uint64_t>> buf;
+    /// When the loop accepted the kFill: hprng.net.fill_seconds runs from
+    /// here, so time spent queued behind a busy completer is counted.
+    std::chrono::steady_clock::time_point accepted;
   };
 
   struct Instruments {

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -262,7 +263,8 @@ TEST(NetChaos, MidFillDisconnectOrphansConsistently) {
 TEST(NetChaos, ReconnectStormUnderAcceptAndReadFaults) {
   fault::FaultPlan plan;
   // Drop connections 2..4 at accept (the client's first reconnects), then
-  // periodically tear reads: trip after every 5th read event, 1 burst.
+  // tear reads: one event each at read ordinals 5, 17, 29, 41 and 53.
+  // Read ordinals count per connection, not per server.
   plan.add({.site = fault::Site::kNetAccept,
             .target = fault::kAnyTarget,
             .after = 1,
@@ -326,10 +328,16 @@ TEST(NetChaos, SeededStormReplaysDeterministically) {
     return z ^ (z >> 31);
   };
   for (int i = 0; i < 6; ++i) {
-    plan.add({.site = (next() & 1) != 0 ? fault::Site::kNetRead
-                                        : fault::Site::kNetAccept,
+    const bool read = (next() & 1) != 0;
+    std::uint64_t after = next() % 40;
+    // net_read ordinals count per connection (the site's target is the
+    // connection id), and every connection's first three reads are hello,
+    // lease/adopt and one fill. A read point below 3 would strike each new
+    // connection before its first fill, so no client could ever progress.
+    if (read) after = std::max<std::uint64_t>(after, 3);
+    plan.add({.site = read ? fault::Site::kNetRead : fault::Site::kNetAccept,
               .target = fault::kAnyTarget,
-              .after = next() % 40,
+              .after = after,
               .count = 1 + (next() % 3),
               .action = fault::Action::kFail});
   }

@@ -10,11 +10,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/client.hpp"
 #include "net/server.hpp"
+#include "obs/metrics.hpp"
 #include "quality/quality.hpp"
 #include "serve/service.hpp"
 
@@ -151,6 +154,44 @@ TEST(NetService, BackpressureWindowShedsWithExplicitReply) {
   service.resume();
   EXPECT_EQ(client.fill_wait(first, out, &err), serve::Status::kOk) << err;
   EXPECT_GE(server.stats().fills_rejected, 1u);
+}
+
+// hprng.net.fill_seconds is server-side wall time per wire fill, ticket
+// wait included (docs/OBSERVABILITY.md): with one completer, fills queued
+// behind the busy one count the time they waited for it too.
+TEST(NetService, FillSecondsCountTimeQueuedForACompleter) {
+  if (!obs::kEnabled) GTEST_SKIP() << "observability disabled";
+  obs::MetricsRegistry metrics;
+  serve::RngService service(small_options());
+  const std::string ep = unique_unix_endpoint();
+  net::NetServer server(service, {.listen = {ep}, .completer_threads = 1},
+                        &metrics);
+  ASSERT_TRUE(server.ok()) << server.error();
+
+  net::NetClient client(client_options(ep));
+  std::string err;
+  const auto lease = client.lease(&err);
+  ASSERT_TRUE(lease.has_value()) << err;
+
+  service.pause();  // no fill completes while paused
+  std::uint64_t ids[3];
+  for (std::uint64_t& id : ids) {
+    id = client.fill_submit(*lease, 16);
+    ASSERT_NE(id, 0u);
+  }
+  // All three accepted by the server before the clock that matters runs.
+  while (server.stats().fills < 3) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  service.resume();
+  std::vector<std::uint64_t> out(16);
+  for (const std::uint64_t id : ids) {
+    ASSERT_EQ(client.fill_wait(id, out, &err), serve::Status::kOk) << err;
+  }
+  const obs::Histogram& fill = metrics.histogram("hprng.net.fill_seconds");
+  EXPECT_EQ(fill.count(), 3u);
+  EXPECT_GE(fill.min(), 0.05);
 }
 
 TEST(NetService, FillOnForeignLeaseIsUnknownLease) {
