@@ -105,11 +105,6 @@ NetServer::NetServer(serve::RngService& service, ServerOptions opts,
   set_nonblocking(wake_pipe_[1]);
   ok_ = true;
   loop_thread_ = std::thread([this] { loop(); });
-  const int completers = std::max(1, opts_.completer_threads);
-  completers_.reserve(static_cast<std::size_t>(completers));
-  for (int i = 0; i < completers; ++i) {
-    completers_.emplace_back([this] { completer_loop(); });
-  }
 }
 
 NetServer::~NetServer() { stop(); }
@@ -131,18 +126,15 @@ void NetServer::wake() {
 void NetServer::stop() {
   if (stopping_.exchange(true)) {
     if (loop_thread_.joinable()) loop_thread_.join();
-    for (std::thread& t : completers_) {
-      if (t.joinable()) t.join();
-    }
     return;
   }
   wake();
-  cq_cv_.notify_all();
   if (loop_thread_.joinable()) loop_thread_.join();
-  for (std::thread& t : completers_) {
-    if (t.joinable()) t.join();
-  }
   std::lock_guard<std::mutex> lk(mu_);
+  // Each wait() returns by its fill's deadline, and only after the fill's
+  // callback has run, so no callback runs once stop() returns.
+  for (auto& [key, f] : inflight_) f.ticket.wait();
+  ack_settled();
   for (auto& [id, c] : conns_) {
     // Leases still bound to live connections park as orphans so a future
     // server over the same (still-running) service could hand them back.
@@ -171,7 +163,7 @@ void NetServer::begin_drain() {
 
 bool NetServer::quiescent() const {
   std::lock_guard<std::mutex> lk(mu_);
-  if (inflight_fills_ != 0) return false;
+  if (!inflight_.empty()) return false;
   for (const auto& [id, c] : conns_) {
     if (!c->wbuf.empty()) return false;
   }
@@ -201,8 +193,10 @@ void NetServer::loop() {
       pfds.push_back({lis.fd, static_cast<short>(draining ? 0 : POLLIN), 0});
       conn_of_pfd.push_back(0);
     }
+    int timeout_ms = 0;
     {
       std::lock_guard<std::mutex> lk(mu_);
+      timeout_ms = expire_due();
       for (const auto& [id, c] : conns_) {
         // While draining: never read — bytes left on the wire were never
         // served, which is the whole graceful-restart guarantee.
@@ -212,7 +206,8 @@ void NetServer::loop() {
         conn_of_pfd.push_back(id);
       }
     }
-    const int rc = poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 100);
+    const int rc =
+        poll(pfds.data(), static_cast<nfds_t>(pfds.size()), timeout_ms);
     if (stopping_.load(std::memory_order_relaxed)) break;
     if (rc < 0) {
       if (errno == EINTR) continue;
@@ -240,9 +235,10 @@ void NetServer::loop() {
       }
       if (!draining && (pfds[i].revents & POLLIN) != 0) read_ready(c);
     }
+    ack_settled();
     // Flush every dirty connection once per iteration: replies written by
-    // op handlers above (and by completers between polls) go out now
-    // instead of waiting for the next POLLOUT wakeup.
+    // op handlers and fill acks go out now instead of waiting for the next
+    // POLLOUT wakeup.
     std::vector<std::shared_ptr<Conn>> dirty;
     for (const auto& [id, c] : conns_) {
       if (!c->wbuf.empty()) dirty.push_back(c);
@@ -380,8 +376,13 @@ void NetServer::drop(const std::shared_ptr<Conn>& c) {
   }
 }
 
-void NetServer::send(const std::shared_ptr<Conn>& c, const Frame& frame) {
-  c->wbuf += encode(frame);
+void NetServer::send(const std::shared_ptr<Conn>& c, Op op,
+                     std::uint64_t request_id, std::string payload,
+                     std::uint8_t version) {
+  c->wbuf += encode({.version = version,
+                     .op = op,
+                     .request_id = request_id,
+                     .payload = std::move(payload)});
   ++stats_.frames_tx;
   if (ins_.frames_tx != nullptr) ins_.frames_tx->add();
 }
@@ -392,11 +393,7 @@ void NetServer::send_error(const std::shared_ptr<Conn>& c,
   WireWriter w;
   w.put_u32(static_cast<std::uint32_t>(code));
   w.put_str(message);
-  Frame reply;
-  reply.op = Op::kError;
-  reply.request_id = request_id;
-  reply.payload = w.take();
-  send(c, reply);
+  send(c, Op::kError, request_id, w.take());
   ++stats_.protocol_errors;
   if (ins_.protocol_errors != nullptr) ins_.protocol_errors->add();
   if (fatal(code)) c->closing = true;
@@ -448,11 +445,7 @@ void NetServer::handle_frame(const std::shared_ptr<Conn>& c,
       w.put_str(service_.options().backend);
       w.put_u32(static_cast<std::uint32_t>(service_.num_shards()));
       w.put_u64(static_cast<std::uint64_t>(opts_.max_fill_words));
-      Frame reply;
-      reply.op = Op::kHelloAck;
-      reply.request_id = frame.request_id;
-      reply.payload = w.take();
-      send(c, reply);
+      send(c, Op::kHelloAck, frame.request_id, w.take());
       return;
     }
     case Op::kLease: {
@@ -482,11 +475,7 @@ void NetServer::handle_frame(const std::shared_ptr<Conn>& c,
       w.put_u64(lease.id);
       w.put_u32(static_cast<std::uint32_t>(lease.shard));
       w.put_u64(lease.slot);
-      Frame reply;
-      reply.op = Op::kLeaseAck;
-      reply.request_id = frame.request_id;
-      reply.payload = w.take();
-      send(c, reply);
+      send(c, Op::kLeaseAck, frame.request_id, w.take());
       return;
     }
     case Op::kFill: {
@@ -514,26 +503,26 @@ void NetServer::handle_frame(const std::shared_ptr<Conn>& c,
                    "per-connection fill window full");
         return;
       }
-      auto buf = std::make_shared<std::vector<std::uint64_t>>(words);
       const std::chrono::nanoseconds timeout =
           timeout_ms == 0 ? std::chrono::nanoseconds{}
                           : std::chrono::milliseconds(timeout_ms);
-      PendingFill pending;
+      const std::uint64_t key = next_fill_key_++;
+      PendingFill& pending = inflight_[key];
       pending.accepted = std::chrono::steady_clock::now();
       pending.conn_id = c->id;
       pending.request_id = frame.request_id;
       pending.lease_id = lease_id;
-      pending.buf = buf;
+      pending.buf.resize(words);
+      // May run right here (admission refusals), so it must not take mu_.
       pending.ticket = it->second.fill_async(
-          std::span<std::uint64_t>(buf->data(), buf->size()), timeout);
+          pending.buf, timeout, [this, key](serve::Status) {
+            std::lock_guard<std::mutex> lk(done_mu_);
+            done_.push_back(key);
+            if (done_.size() == 1) wake();
+          });
+      pending.deadline = pending.ticket.deadline();
       ++c->pending_fills;
-      ++inflight_fills_;
       ++stats_.fills;
-      {
-        std::lock_guard<std::mutex> cq(cq_mu_);
-        completer_queue_.push_back(std::move(pending));
-      }
-      cq_cv_.notify_one();
       return;
     }
     case Op::kRelease: {
@@ -554,11 +543,7 @@ void NetServer::handle_frame(const std::shared_ptr<Conn>& c,
       WireWriter w;
       w.put_u64(lease_id);
       w.put_u8(released ? 1 : 0);
-      Frame reply;
-      reply.op = Op::kReleaseAck;
-      reply.request_id = frame.request_id;
-      reply.payload = w.take();
-      send(c, reply);
+      send(c, Op::kReleaseAck, frame.request_id, w.take());
       return;
     }
     case Op::kAdopt: {
@@ -592,11 +577,7 @@ void NetServer::handle_frame(const std::shared_ptr<Conn>& c,
       WireWriter w;
       w.put_u64(lease_id);
       w.put_u8(ok ? 1 : 0);
-      Frame reply;
-      reply.op = Op::kAdoptAck;
-      reply.request_id = frame.request_id;
-      reply.payload = w.take();
-      send(c, reply);
+      send(c, Op::kAdoptAck, frame.request_id, w.take());
       return;
     }
     case Op::kAdoptables: {
@@ -608,11 +589,7 @@ void NetServer::handle_frame(const std::shared_ptr<Conn>& c,
       WireWriter w;
       w.put_u32(static_cast<std::uint32_t>(ids.size()));
       for (const std::uint64_t id : ids) w.put_u64(id);
-      Frame reply;
-      reply.op = Op::kAdoptablesAck;
-      reply.request_id = frame.request_id;
-      reply.payload = w.take();
-      send(c, reply);
+      send(c, Op::kAdoptablesAck, frame.request_id, w.take());
       return;
     }
     case Op::kStat: {
@@ -634,12 +611,7 @@ void NetServer::handle_frame(const std::shared_ptr<Conn>& c,
       // v2 appends the QoS rejection total; the ack mirrors the request's
       // version so a v1 peer sees exactly the v1 payload shape.
       if (frame.version >= 2) w.put_u64(s.rejected_quota);
-      Frame reply;
-      reply.version = frame.version;
-      reply.op = Op::kStatAck;
-      reply.request_id = frame.request_id;
-      reply.payload = w.take();
-      send(c, reply);
+      send(c, Op::kStatAck, frame.request_id, w.take(), frame.version);
       return;
     }
     case Op::kCkpt: {
@@ -660,11 +632,7 @@ void NetServer::handle_frame(const std::shared_ptr<Conn>& c,
       WireWriter w;
       w.put_u8(ok ? 1 : 0);
       w.put_str(err);
-      Frame reply;
-      reply.op = Op::kCkptAck;
-      reply.request_id = frame.request_id;
-      reply.payload = w.take();
-      send(c, reply);
+      send(c, Op::kCkptAck, frame.request_id, w.take());
       return;
     }
     case Op::kQuality: {
@@ -708,11 +676,7 @@ void NetServer::handle_frame(const std::shared_ptr<Conn>& c,
           w.put_str(a.what);
         }
       }
-      Frame reply;
-      reply.op = Op::kQualityAck;
-      reply.request_id = frame.request_id;
-      reply.payload = w.take();
-      send(c, reply);
+      send(c, Op::kQualityAck, frame.request_id, w.take());
       return;
     }
     default:
@@ -723,28 +687,36 @@ void NetServer::handle_frame(const std::shared_ptr<Conn>& c,
   }
 }
 
-void NetServer::completer_loop() {
-  for (;;) {
-    PendingFill job;
-    {
-      std::unique_lock<std::mutex> cq(cq_mu_);
-      cq_cv_.wait(cq, [this] {
-        return !completer_queue_.empty() ||
-               stopping_.load(std::memory_order_relaxed);
-      });
-      if (completer_queue_.empty()) {
-        if (stopping_.load(std::memory_order_relaxed)) return;
-        continue;
-      }
-      job = std::move(completer_queue_.front());
-      completer_queue_.pop_front();
+int NetServer::expire_due() {
+  const auto now = std::chrono::steady_clock::now();
+  auto next = now + std::chrono::milliseconds(100);
+  for (auto& [key, f] : inflight_) {
+    if (f.deadline <= now) {
+      // Settles kTimeout unless a worker already claimed the fill, which
+      // then settles it itself; either way it is not expired again.
+      f.ticket.expire();
+      f.deadline = std::chrono::steady_clock::time_point::max();
+    } else {
+      next = std::min(next, f.deadline);
     }
+  }
+  return static_cast<int>(
+      std::chrono::ceil<std::chrono::milliseconds>(next - now).count());
+}
+
+void NetServer::ack_settled() {
+  std::vector<std::uint64_t> keys;
+  {
+    std::lock_guard<std::mutex> lk(done_mu_);
+    keys.swap(done_);
+  }
+  const auto now = std::chrono::steady_clock::now();
+  for (const std::uint64_t key : keys) {
+    auto node = inflight_.extract(key);
+    PendingFill& job = node.mapped();
+    // Returns at once: the key was listed from inside settle, and wait()
+    // returns once that settle — callback included — has finished.
     const serve::Status status = job.ticket.wait();
-    const double seconds =
-        std::chrono::duration_cast<std::chrono::duration<double>>(
-            std::chrono::steady_clock::now() - job.accepted)
-            .count();
-    std::lock_guard<std::mutex> lk(mu_);
     if (status == serve::Status::kOk) {
       ++stats_.fills_ok;
       if (ins_.fills_ok != nullptr) ins_.fills_ok->add();
@@ -752,8 +724,10 @@ void NetServer::completer_loop() {
       ++stats_.fills_rejected;
       if (ins_.fills_rejected != nullptr) ins_.fills_rejected->add();
     }
-    if (ins_.fill_seconds != nullptr) ins_.fill_seconds->observe(seconds);
-    --inflight_fills_;
+    if (ins_.fill_seconds != nullptr) {
+      ins_.fill_seconds->observe(
+          std::chrono::duration<double>(now - job.accepted).count());
+    }
     const auto it = conns_.find(job.conn_id);
     if (it == conns_.end()) continue;  // peer left; words are orphaned
     const std::shared_ptr<Conn>& c = it->second;
@@ -762,17 +736,12 @@ void NetServer::completer_loop() {
     w.put_u64(job.lease_id);
     w.put_u32(static_cast<std::uint32_t>(status));
     if (status == serve::Status::kOk) {
-      w.put_u32(static_cast<std::uint32_t>(job.buf->size()));
-      w.put_words(*job.buf);
+      w.put_u32(static_cast<std::uint32_t>(job.buf.size()));
+      w.put_words(job.buf);
     } else {
       w.put_u32(0);
     }
-    Frame reply;
-    reply.op = Op::kFillAck;
-    reply.request_id = job.request_id;
-    reply.payload = w.take();
-    send(c, reply);
-    wake();  // the loop flushes dirty connections on wakeup
+    send(c, Op::kFillAck, job.request_id, w.take());
   }
 }
 

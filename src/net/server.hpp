@@ -10,13 +10,13 @@
 // block/reject/shed admission policy IS the network backpressure policy),
 // kAdopt → adopt_session / the orphan table, kCkpt → checkpoint.
 //
-// Threading: one event-loop thread owns every connection (read buffers,
-// write buffers, the lease→Session maps); `completer_threads` completion
-// threads wait on fill Tickets — the only blocking step — and hand the
-// encoded kFillAck back to the loop through the server mutex plus a
-// self-pipe wakeup. All session open/release/adopt calls happen on the
-// loop thread, which is what makes kCkpt safe to run inline (RngService::
-// checkpoint demands no concurrent lease churn).
+// Threading: one thread, the poll loop, owns every connection (buffers,
+// lease→Session maps) and every in-flight fill. A fill's completion
+// callback, run by whichever thread settles it, lists the fill and wakes
+// the loop through a self-pipe; the loop encodes the kFillAck, and expires
+// fills still queued at their deadline. All session open/release/adopt
+// calls happen on the loop thread, which is what makes kCkpt safe to run
+// inline (RngService::checkpoint demands no concurrent lease churn).
 //
 // Disconnect semantics (docs/NETWORK.md §6): a connection that drops
 // without releasing its leases orphans them — the streams stay live and a
@@ -31,9 +31,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -69,10 +67,6 @@ struct ServerOptions {
   /// admission policy.
   std::size_t max_pending_fills = 64;
 
-  /// Threads waiting on fill Tickets (each blocks on one fill at a time;
-  /// size to the expected concurrent-fill fan-in, not to client count).
-  int completer_threads = 2;
-
   /// Optional deterministic fault injection at the net sites; not owned.
   fault::Injector* injector = nullptr;
 
@@ -84,8 +78,8 @@ struct ServerOptions {
 
 class NetServer {
  public:
-  /// Binds every endpoint and starts the loop + completer threads. On any
-  /// listen failure nothing runs: ok() is false and error() explains.
+  /// Binds every endpoint and starts the loop thread. On any listen
+  /// failure nothing runs: ok() is false and error() explains.
   /// The service must outlive the server; stop the server first.
   NetServer(serve::RngService& service, ServerOptions opts,
             obs::MetricsRegistry* metrics = nullptr);
@@ -100,8 +94,9 @@ class NetServer {
   /// Resolved listen endpoints (tcp:*:0 reports the kernel port).
   [[nodiscard]] std::vector<std::string> endpoints() const;
 
-  /// Stop accepting, settle every in-flight fill, flush what can be
-  /// flushed, close all connections and join the threads. Idempotent.
+  /// Stop accepting, join the loop, settle every in-flight fill (none
+  /// outlives its deadline, and no fill callback runs after stop()
+  /// returns), close all connections. Idempotent.
   void stop();
 
   /// Graceful-restart drain (docs/NETWORK.md §8): stop accepting AND stop
@@ -155,10 +150,10 @@ class NetServer {
     std::uint64_t request_id = 0;
     std::uint64_t lease_id = 0;
     serve::Ticket ticket;
-    std::shared_ptr<std::vector<std::uint64_t>> buf;
-    /// When the loop accepted the kFill: hprng.net.fill_seconds runs from
-    /// here, so time spent queued behind a busy completer is counted.
+    std::vector<std::uint64_t> buf;
+    /// hprng.net.fill_seconds runs from here, the loop's accept.
     std::chrono::steady_clock::time_point accepted;
+    std::chrono::steady_clock::time_point deadline;  ///< max() once expired
   };
 
   struct Instruments {
@@ -182,15 +177,19 @@ class NetServer {
   };
 
   void loop();
-  void completer_loop();
   void wake();
+  /// Expire fills past their deadline; returns poll's timeout in ms.
+  int expire_due();                                  // mu_ held
+  void ack_settled();                                // mu_ held
   void accept_ready(std::size_t listener_idx);       // mu_ held
   void read_ready(const std::shared_ptr<Conn>& c);   // mu_ held
   void write_ready(const std::shared_ptr<Conn>& c);  // mu_ held
   void drop(const std::shared_ptr<Conn>& c);         // mu_ held
   void handle_frame(const std::shared_ptr<Conn>& c,
                     const Frame& frame);             // mu_ held
-  void send(const std::shared_ptr<Conn>& c, const Frame& frame);  // mu_ held
+  void send(const std::shared_ptr<Conn>& c, Op op, std::uint64_t request_id,
+            std::string payload,
+            std::uint8_t version = kWireVersion);  // mu_ held
   void send_error(const std::shared_ptr<Conn>& c, std::uint64_t request_id,
                   ErrCode code, const std::string& message);      // mu_ held
 
@@ -214,16 +213,16 @@ class NetServer {
   std::map<std::uint64_t, serve::Session> orphans_;  ///< by lease id
   std::uint64_t next_conn_id_ = 1;
   Stats stats_;
+  std::map<std::uint64_t, PendingFill> inflight_;  ///< unacked, by key
+  std::uint64_t next_fill_key_ = 1;
 
-  std::mutex cq_mu_;
-  std::condition_variable cq_cv_;
-  std::deque<PendingFill> completer_queue_;
+  /// Settled fills' keys. A leaf lock: callbacks may run with mu_ held.
+  std::mutex done_mu_;
+  std::vector<std::uint64_t> done_;
 
   std::atomic<bool> stopping_{false};
   std::atomic<bool> draining_{false};
-  int inflight_fills_ = 0;  ///< accepted, reply not yet queued (mu_)
   std::thread loop_thread_;
-  std::vector<std::thread> completers_;
 };
 
 }  // namespace hprng::net

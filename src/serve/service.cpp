@@ -269,10 +269,12 @@ void RngService::release_lease(const Lease& lease) {
 
 RngService::RequestPtr RngService::submit(
     const std::shared_ptr<detail::SessionState>& session,
-    std::span<std::uint64_t> out, std::chrono::nanoseconds timeout) {
+    std::span<std::uint64_t> out, std::chrono::nanoseconds timeout,
+    std::function<void(Status)> on_settle) {
   auto req = std::make_shared<detail::Request>();
   req->session = session;
   req->out = out;
+  req->on_settle = std::move(on_settle);
   // One clock read per request: submit time, deadline and the shed-policy
   // expiry sweep below all derive from this single sample, so admission
   // decisions are stable however long the intervening code takes to run
@@ -341,14 +343,7 @@ RngService::RequestPtr RngService::submit(
         const auto now = req->submit_time;
         std::vector<RequestPtr> evicted = queue_.evict_if(
             [now](const RequestPtr& r) { return now >= r->deadline; });
-        for (RequestPtr& victim : evicted) {
-          int expected = detail::Request::kPending;
-          if (victim->phase.compare_exchange_strong(
-                  expected, detail::Request::kAbandoned,
-                  std::memory_order_acq_rel)) {
-            settle(victim, Status::kShed);
-          }
-        }
+        for (RequestPtr& victim : evicted) abandon(victim, Status::kShed);
         result = queue_.try_push(req);
       }
       if (result == PushResult::kFull) {
@@ -357,12 +352,7 @@ RngService::RequestPtr RngService::submit(
         std::optional<RequestPtr> victim = queue_.evict_min_below(
             [](const RequestPtr& r) { return r->priority; }, req->priority);
         if (victim.has_value()) {
-          int expected = detail::Request::kPending;
-          if ((*victim)->phase.compare_exchange_strong(
-                  expected, detail::Request::kAbandoned,
-                  std::memory_order_acq_rel)) {
-            settle(*victim, Status::kShed);
-          }
+          abandon(*victim, Status::kShed);
           result = queue_.try_push(req);
         }
       }
@@ -387,25 +377,25 @@ RngService::RequestPtr RngService::submit(
 }
 
 Status RngService::wait(const RequestPtr& req) {
-  {
-    std::unique_lock<std::mutex> lk(req->mu);
-    if (req->cv.wait_until(lk, req->deadline, [&] { return req->done; })) {
-      return req->status;
-    }
+  std::unique_lock<std::mutex> lk(req->mu);
+  if (!req->cv.wait_until(lk, req->deadline, [&] { return req->done; })) {
+    // Deadline passed while still queued: abandon the request so no worker
+    // ever touches `out` (whose storage the caller may now reclaim). If a
+    // worker claimed it first, it is being served right now — wait it out.
+    lk.unlock();
+    abandon(req, Status::kTimeout);
+    lk.lock();
+    req->cv.wait(lk, [&] { return req->done; });
   }
-  // Deadline passed while still queued. Try to abandon the request so no
-  // worker ever touches `out` (whose storage the caller may now reclaim).
+  return req->status;
+}
+
+void RngService::abandon(const RequestPtr& req, Status status) {
   int expected = detail::Request::kPending;
   if (req->phase.compare_exchange_strong(expected, detail::Request::kAbandoned,
                                          std::memory_order_acq_rel)) {
-    req->session->service->settle(req, Status::kTimeout);
-    return Status::kTimeout;
+    req->session->service->settle(req, status);
   }
-  // A worker claimed it first: it is being served (or settled) right now —
-  // wait out the completion.
-  std::unique_lock<std::mutex> lk(req->mu);
-  req->cv.wait(lk, [&] { return req->done; });
-  return req->status;
 }
 
 void RngService::settle(const RequestPtr& req, Status status) {
@@ -462,6 +452,8 @@ void RngService::settle(const RequestPtr& req, Status status) {
       break;
   }
 
+  // Before `done` too: a return from wait() means the callback has run.
+  if (req->on_settle) req->on_settle(status);
   req->done = true;
   lk.unlock();
   req->cv.notify_all();
@@ -521,17 +513,13 @@ void RngService::serve_batch(std::vector<ShardGroup>& groups,
 
   // Claim what is still live, keeping pop order within each group.
   const auto unclaimable = [&](const RequestPtr& req) {
-    int expected = detail::Request::kPending;
     if (now >= req->deadline) {
       // Expired in the queue: shed it (unless the waiter got there first).
-      if (req->phase.compare_exchange_strong(expected,
-                                             detail::Request::kAbandoned,
-                                             std::memory_order_acq_rel)) {
-        settle(req, Status::kShed);
-      }
+      abandon(req, Status::kShed);
       return true;
     }
     // A request its waiter abandoned is off limits: its span may be gone.
+    int expected = detail::Request::kPending;
     return !req->phase.compare_exchange_strong(
         expected, detail::Request::kClaimed, std::memory_order_acq_rel);
   };
@@ -1241,13 +1229,15 @@ Status Session::fill(std::span<std::uint64_t> out,
                      std::chrono::nanoseconds timeout) {
   HPRNG_CHECK(valid(), "Session::fill: empty session");
   RngService* service = state_->service;
-  return RngService::wait(service->submit(state_, out, timeout));
+  return RngService::wait(service->submit(state_, out, timeout, {}));
 }
 
 Ticket Session::fill_async(std::span<std::uint64_t> out,
-                           std::chrono::nanoseconds timeout) {
+                           std::chrono::nanoseconds timeout,
+                           std::function<void(Status)> on_settle) {
   HPRNG_CHECK(valid(), "Session::fill_async: empty session");
-  return Ticket(state_->service->submit(state_, out, timeout));
+  return Ticket(
+      state_->service->submit(state_, out, timeout, std::move(on_settle)));
 }
 
 std::vector<std::uint64_t> Session::draw(std::size_t n) {
@@ -1281,6 +1271,18 @@ std::uint64_t Session::tenant() const {
 Status Ticket::wait() {
   HPRNG_CHECK(req_ != nullptr, "Ticket::wait: empty ticket");
   return RngService::wait(req_);
+}
+
+std::chrono::steady_clock::time_point Ticket::deadline() const {
+  HPRNG_CHECK(req_ != nullptr, "Ticket::deadline: empty ticket");
+  return req_->deadline;
+}
+
+void Ticket::expire() {
+  HPRNG_CHECK(req_ != nullptr, "Ticket::expire: empty ticket");
+  if (std::chrono::steady_clock::now() >= req_->deadline) {
+    RngService::abandon(req_, Status::kTimeout);
+  }
 }
 
 }  // namespace hprng::serve

@@ -81,6 +81,8 @@ struct Request {
 
   std::atomic<int> phase{kPending};
 
+  std::function<void(Status)> on_settle;  ///< run by settle(), before done
+
   std::mutex mu;
   std::condition_variable cv;
   bool done = false;            ///< guarded by mu; set exactly once
@@ -114,6 +116,11 @@ class Ticket {
   /// Idempotent — repeated calls return the same status.
   Status wait();
 
+  /// The request's deadline, and wait()'s rule at it without the wait: a
+  /// request still queued past its deadline settles kTimeout now.
+  [[nodiscard]] std::chrono::steady_clock::time_point deadline() const;
+  void expire();
+
  private:
   friend class Session;
   explicit Ticket(std::shared_ptr<detail::Request> req)
@@ -136,9 +143,12 @@ class Session {
               std::chrono::nanoseconds timeout = {});
 
   /// Asynchronous fill: returns immediately; `out` must stay valid until
-  /// Ticket::wait() returns.
+  /// Ticket::wait() returns. `on_settle` runs once with the terminal
+  /// status on the settling thread (possibly this one), before wait()
+  /// returns; it must not block or call into the service.
   Ticket fill_async(std::span<std::uint64_t> out,
-                    std::chrono::nanoseconds timeout = {});
+                    std::chrono::nanoseconds timeout = {},
+                    std::function<void(Status)> on_settle = {});
 
   /// Convenience: fill-and-return n draws; aborts unless the fill is kOk
   /// (use fill() where failure is expected).
@@ -418,8 +428,12 @@ class RngService {
                                    std::uint64_t tenant, int priority);
   RequestPtr submit(const std::shared_ptr<detail::SessionState>& session,
                     std::span<std::uint64_t> out,
-                    std::chrono::nanoseconds timeout);
+                    std::chrono::nanoseconds timeout,
+                    std::function<void(Status)> on_settle);
   static Status wait(const RequestPtr& req);
+  /// Settle a still-queued request `status`, claiming it (kPending ->
+  /// kAbandoned) so no worker touches `out`; no-op once a worker has it.
+  static void abandon(const RequestPtr& req, Status status);
   /// Publish the terminal status (exactly once) and count it.
   void settle(const RequestPtr& req, Status status);
   void release_lease(const Lease& lease);

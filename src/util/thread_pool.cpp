@@ -53,10 +53,8 @@ void ThreadPool::parallel_for(std::uint64_t begin, std::uint64_t end,
   std::atomic<std::size_t> remaining{0};
   std::mutex done_mu;
   std::condition_variable done_cv;
-  std::size_t launched = 0;
   for (std::uint64_t lo = begin; lo < end; lo += chunk) {
     const std::uint64_t hi = std::min(end, lo + chunk);
-    ++launched;
     remaining.fetch_add(1, std::memory_order_relaxed);
     submit([&, lo, hi] {
       for (std::uint64_t i = lo; i < hi; ++i) fn(i);
@@ -68,7 +66,6 @@ void ThreadPool::parallel_for(std::uint64_t begin, std::uint64_t end,
       }
     });
   }
-  (void)launched;
   std::unique_lock<std::mutex> lk(done_mu);
   done_cv.wait(lk, [&] { return remaining.load(std::memory_order_acquire) == 0; });
 }

@@ -1,16 +1,20 @@
 // End-to-end tests of NetServer + NetClient over real sockets
 // (docs/NETWORK.md): the hello gate, lease/fill/release round trips that
 // must be bit-identical to an in-process reference service, pipelining,
-// protocol-level backpressure, orphan adoption across connections, and
-// transparent client reconnection. Unix-domain sockets are the primary
+// protocol-level backpressure, wire fill deadlines, stop() settling
+// queued fills, orphan adoption across connections, and transparent
+// client reconnection. Unix-domain sockets are the primary
 // transport (always available); the TCP test skips itself where the
 // sandbox forbids binding.
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -156,16 +160,15 @@ TEST(NetService, BackpressureWindowShedsWithExplicitReply) {
   EXPECT_GE(server.stats().fills_rejected, 1u);
 }
 
-// hprng.net.fill_seconds is server-side wall time per wire fill, ticket
-// wait included (docs/OBSERVABILITY.md): with one completer, fills queued
-// behind the busy one count the time they waited for it too.
-TEST(NetService, FillSecondsCountTimeQueuedForACompleter) {
+// hprng.net.fill_seconds is server-side wall time per wire fill, from
+// accept to settle (docs/OBSERVABILITY.md): fills held in a paused
+// service count the time they were held.
+TEST(NetService, FillSecondsRunFromAccept) {
   if (!obs::kEnabled) GTEST_SKIP() << "observability disabled";
   obs::MetricsRegistry metrics;
   serve::RngService service(small_options());
   const std::string ep = unique_unix_endpoint();
-  net::NetServer server(service, {.listen = {ep}, .completer_threads = 1},
-                        &metrics);
+  net::NetServer server(service, {.listen = {ep}}, &metrics);
   ASSERT_TRUE(server.ok()) << server.error();
 
   net::NetClient client(client_options(ep));
@@ -192,6 +195,145 @@ TEST(NetService, FillSecondsCountTimeQueuedForACompleter) {
   const obs::Histogram& fill = metrics.histogram("hprng.net.fill_seconds");
   EXPECT_EQ(fill.count(), 3u);
   EXPECT_GE(fill.min(), 0.05);
+}
+
+/// A raw peer speaking frames directly, for what NetClient never sends.
+struct RawPeer {
+  int fd = -1;
+  std::string rbuf;
+
+  explicit RawPeer(const std::string& ep) {
+    const auto parsed = net::Endpoint::parse(ep);
+    if (parsed.has_value()) fd = net::dial(*parsed);
+  }
+  ~RawPeer() { net::close_fd(fd); }
+
+  bool send(net::Op op, std::uint64_t request_id, std::string payload) {
+    net::Frame frame;
+    frame.op = op;
+    frame.request_id = request_id;
+    frame.payload = std::move(payload);
+    const std::string wire = net::encode(frame);
+    return write(fd, wire.data(), wire.size()) ==
+           static_cast<ssize_t>(wire.size());
+  }
+
+  /// The next frame, or nullopt when none arrives within `timeout`.
+  std::optional<net::Frame> next(std::chrono::milliseconds timeout) {
+    const auto give_up = std::chrono::steady_clock::now() + timeout;
+    for (;;) {
+      net::Frame frame;
+      std::size_t consumed = 0;
+      std::string err;
+      if (net::decode(rbuf, &frame, &consumed, &err) == net::Decode::kFrame) {
+        rbuf.erase(0, consumed);
+        return frame;
+      }
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          give_up - std::chrono::steady_clock::now());
+      pollfd pfd{fd, POLLIN, 0};
+      if (left.count() <= 0 ||
+          poll(&pfd, 1, static_cast<int>(left.count())) <= 0) {
+        return std::nullopt;
+      }
+      char tmp[4096];
+      const ssize_t n = read(fd, tmp, sizeof(tmp));
+      if (n <= 0) return std::nullopt;
+      rbuf.append(tmp, static_cast<std::size_t>(n));
+    }
+  }
+};
+
+// A wire fill's timeout_ms is its deadline: still queued then, it is
+// answered kTimeout then — not later, and not a second time once the
+// service resumes.
+TEST(NetService, WireFillDeadlineAnswersTimeoutOnce) {
+  serve::RngService service(small_options());
+  const std::string ep = unique_unix_endpoint();
+  net::NetServer server(service, {.listen = {ep}});
+  ASSERT_TRUE(server.ok()) << server.error();
+
+  RawPeer peer(ep);
+  ASSERT_GE(peer.fd, 0);
+  net::WireWriter hello;
+  hello.put_u32(net::kHelloMagic);
+  hello.put_u32(net::kWireVersion);
+  hello.put_str("deadline-peer");
+  ASSERT_TRUE(peer.send(net::Op::kHello, 1, hello.take()));
+  const auto hello_ack = peer.next(std::chrono::seconds(10));
+  ASSERT_TRUE(hello_ack.has_value());
+  ASSERT_EQ(hello_ack->op, net::Op::kHelloAck);
+  net::WireWriter lease;
+  lease.put_u8(0);
+  lease.put_u64(0);
+  lease.put_u64(0);  // tenant
+  ASSERT_TRUE(peer.send(net::Op::kLease, 2, lease.take()));
+  const auto lease_ack = peer.next(std::chrono::seconds(10));
+  ASSERT_TRUE(lease_ack.has_value());
+  ASSERT_EQ(lease_ack->op, net::Op::kLeaseAck);
+  const std::uint64_t lease_id = net::WireReader(lease_ack->payload).get_u64();
+
+  service.pause();  // the fill stays queued past its deadline
+  net::WireWriter fill;
+  fill.put_u64(lease_id);
+  fill.put_u32(16);
+  fill.put_u32(20);  // timeout_ms
+  const auto sent = std::chrono::steady_clock::now();
+  ASSERT_TRUE(peer.send(net::Op::kFill, 3, fill.take()));
+  const auto fill_ack = peer.next(std::chrono::seconds(10));
+  const auto elapsed = std::chrono::steady_clock::now() - sent;
+  ASSERT_TRUE(fill_ack.has_value()) << "no reply at the deadline";
+  ASSERT_EQ(fill_ack->op, net::Op::kFillAck);
+  EXPECT_EQ(fill_ack->request_id, 3u);
+  net::WireReader r(fill_ack->payload);
+  EXPECT_EQ(r.get_u64(), lease_id);
+  EXPECT_EQ(static_cast<serve::Status>(r.get_u32()), serve::Status::kTimeout);
+  EXPECT_EQ(r.get_u32(), 0u);
+  EXPECT_GE(elapsed, std::chrono::milliseconds(20));
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+
+  service.resume();
+  service.drain();
+  EXPECT_FALSE(peer.next(std::chrono::milliseconds(100)).has_value())
+      << "a second reply after resume";
+  EXPECT_EQ(service.stats().timed_out, 1u);
+  EXPECT_EQ(service.stats().completed, 0u);
+  EXPECT_EQ(server.stats().fills_rejected, 1u);
+}
+
+// stop() settles the fills still queued in a paused service (here at
+// their 200 ms service-default deadline) before it returns; destroying the
+// server afterwards leaves no callback behind.
+TEST(NetService, StopSettlesQueuedFills) {
+  serve::ServiceOptions sopts = small_options();
+  sopts.default_timeout = std::chrono::milliseconds(200);
+  serve::RngService service(sopts);
+  const std::string ep = unique_unix_endpoint();
+  auto server =
+      std::make_unique<net::NetServer>(service, net::ServerOptions{.listen = {ep}});
+  ASSERT_TRUE(server->ok()) << server->error();
+
+  net::NetClient client(client_options(ep));
+  std::string err;
+  const auto lease = client.lease(&err);
+  ASSERT_TRUE(lease.has_value()) << err;
+
+  service.pause();
+  for (int i = 0; i < 3; ++i) ASSERT_NE(client.fill_submit(*lease, 16), 0u);
+  while (server->stats().fills < 3) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto start = std::chrono::steady_clock::now();
+  server->stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_TRUE(server->quiescent());
+  EXPECT_EQ(server->stats().fills_rejected, 3u);
+  EXPECT_EQ(service.stats().timed_out, 3u);
+  server.reset();
+
+  service.resume();
+  service.drain();
+  EXPECT_EQ(service.stats().completed, 0u);
 }
 
 TEST(NetService, FillOnForeignLeaseIsUnknownLease) {

@@ -3,8 +3,8 @@
 // admission-policy semantics (reject never blocks, block times out at the
 // deadline, shed evicts expired requests), queue-depth accounting at
 // fences, request coalescing, per-lease request order across workers,
-// and the lease grant/release protocol under thread hammering (the TSan
-// target).
+// the fill_async completion-callback contract, and the lease
+// grant/release protocol under thread hammering (the TSan target).
 
 #include <algorithm>
 #include <array>
@@ -12,7 +12,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -382,6 +385,94 @@ TEST(ServeAccounting, StatusesConserveSubmissions) {
   EXPECT_EQ(stats.submitted, 8u * 32u);
   EXPECT_EQ(stats.submitted, stats.completed + stats.rejected + stats.shed +
                                  stats.timed_out + stats.closed);
+}
+
+// ------------------------------------------------------- settle callbacks
+
+/// Counts a fill_async callback's runs and keeps the last status.
+struct SettleLog {
+  std::atomic<int> calls{0};
+  std::atomic<int> status{-1};
+  std::function<void(serve::Status)> callback() {
+    return [this](serve::Status s) {
+      status.store(static_cast<int>(s));
+      calls.fetch_add(1);
+    };
+  }
+  [[nodiscard]] serve::Status last() const {
+    return static_cast<serve::Status>(status.load());
+  }
+};
+
+/// Every terminal path runs the callback exactly once, and before
+/// Ticket::wait() returns — with one worker and with several.
+TEST(ServeCallback, RunsOnceBeforeWaitReturnsOnEveryTerminalPath) {
+  for (const int workers : {0, 3}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    auto opts = small_options("cpu-walk");
+    opts.num_workers = workers;
+    serve::TenantPolicy capped;
+    capped.quota_words = 8;
+    opts.tenants.overrides[5] = capped;
+    SettleLog ok, quota, timeout, shed, closed;
+    std::vector<std::uint64_t> a(16), b(16), c(16), d(16), e(16), f(16);
+    auto service = std::make_unique<serve::RngService>(opts);
+    {
+      serve::Session session = service->open_session();
+
+      serve::Ticket t = session.fill_async(a, 10s, ok.callback());
+      EXPECT_EQ(t.wait(), serve::Status::kOk);
+      EXPECT_EQ(ok.calls.load(), 1);
+
+      // Refused at admission: settled inside fill_async, on this thread.
+      serve::RngService::SessionSpec spec;
+      spec.tenant = 5;
+      std::optional<serve::Session> capped_session =
+          service->try_open_session(spec);
+      ASSERT_TRUE(capped_session.has_value());
+      t = capped_session->fill_async(b, 10s, quota.callback());
+      EXPECT_EQ(quota.calls.load(), 1);
+      EXPECT_EQ(t.wait(), serve::Status::kRejectedQuota);
+
+      service->pause();
+      t = session.fill_async(c, 20ms, timeout.callback());
+      EXPECT_EQ(t.wait(), serve::Status::kTimeout);
+      EXPECT_EQ(timeout.calls.load(), 1);
+
+      // Expires unwaited in the queue: the worker sheds it at pop.
+      t = session.fill_async(d, 1ms, shed.callback());
+      std::this_thread::sleep_for(10ms);
+      service->resume();
+      const auto give_up = std::chrono::steady_clock::now() + 10s;
+      while (shed.calls.load() == 0 &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(1ms);
+      }
+      EXPECT_EQ(shed.calls.load(), 1);
+      EXPECT_EQ(t.wait(), serve::Status::kShed);
+      service->drain();
+      EXPECT_EQ(timeout.calls.load(), 1) << "popped after it timed out";
+      EXPECT_EQ(timeout.last(), serve::Status::kTimeout);
+
+      // A request still queued when destruction begins is served then;
+      // its callback submits once more, which settles kClosed at once. (A
+      // callback must not call into the service; this one does, only to
+      // reach the destruction window deterministically.)
+      service->pause();
+      serve::Session late = service->open_session();
+      session.fill_async(e, 10s, [late, &f, &closed](serve::Status) mutable {
+        serve::Ticket closing = late.fill_async(f, 10s, closed.callback());
+        EXPECT_EQ(closed.calls.load(), 1);
+        EXPECT_EQ(closing.wait(), serve::Status::kClosed);
+      });
+    }
+    service.reset();
+    EXPECT_EQ(closed.calls.load(), 1);
+    EXPECT_EQ(closed.last(), serve::Status::kClosed);
+    EXPECT_EQ(ok.calls.load(), 1);
+    EXPECT_EQ(quota.calls.load(), 1);
+    EXPECT_EQ(shed.calls.load(), 1);
+  }
 }
 
 // ------------------------------------------------------------- coalescing
